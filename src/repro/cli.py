@@ -185,7 +185,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> str:
         num_windows=args.num_windows,
         window_length=args.window_length,
         bipartite=args.bipartite,
-        incremental=args.incremental,
         strategy=args.strategy,
         jobs=args.jobs if args.strategy == "shm" else 0,
         sketch_budget_bytes=args.sketch_budget,
@@ -387,14 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("jaccard", "dice", "sdice", "shel"),
         default="shel",
         help="distance function for fig2",
-    )
-    parser.add_argument(
-        "--incremental",
-        action="store_true",
-        help="route consecutive-window signature computation through the "
-        "delta engine (experiments: reuse across the window pair; "
-        "pipeline: sliding aggregator + dirty-set recompute); outputs "
-        "are byte-identical to the full path",
     )
     obs_group = parser.add_argument_group("observability options")
     obs_group.add_argument(
@@ -755,7 +746,6 @@ def main(argv=None) -> int:
     config = ExperimentConfig(
         scale=args.scale,
         jobs=args.jobs,
-        incremental=args.incremental,
         strategy=args.strategy,
         sketch_budget_bytes=args.sketch_budget,
     )

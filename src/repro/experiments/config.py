@@ -44,11 +44,6 @@ class ExperimentConfig:
     ``N > 1`` uses up to ``N`` processes, ``0``/negative uses every CPU.
     Results are assembled in deterministic order regardless of ``jobs``.
 
-    ``incremental`` routes consecutive-window signature computation
-    through the delta engine (:func:`consecutive_signature_maps`): the
-    second window's map reuses the first via the scheme's dirty set,
-    byte-identical to a full recompute by the incremental contract.
-
     ``strategy`` picks how signature batches are computed: ``"serial"``
     in-process, or ``"shm"`` through the shared-memory engine
     (:mod:`repro.parallel.shm`) — the graph is published once and
@@ -68,7 +63,6 @@ class ExperimentConfig:
     reset_probability: float = RESET_PROBABILITY
     rwr_hops: Tuple[int, ...] = RWR_HOPS
     jobs: int = 1
-    incremental: bool = False
     strategy: str = "serial"
     sketch_budget_bytes: int = 2097152
 
@@ -140,33 +134,23 @@ def consecutive_signature_maps(
     graph_now,
     graph_next,
     population,
-    incremental: bool = False,
     strategy: str = "serial",
     engine=None,
 ):
-    """Signature maps for a consecutive window pair, optionally delta-reused.
+    """Signature maps for a consecutive window pair, each computed in full.
 
-    With ``incremental=True`` the second map is computed through
-    ``compute_all(delta=..., previous=...)`` with the delta diffed from
-    the two graphs — recomputing only the scheme's dirty set.
-    ``strategy``/``engine`` are forwarded to ``compute_all`` so the
-    batches (or just the dirty set) can run on the shared-memory worker
+    The two window graphs are built separately from disjoint time ranges,
+    so nearly every edge differs between them: a delta (dirty-set)
+    recompute of the second map would redo almost every node and pay for
+    the change tracking on top.  ``strategy``/``engine`` are forwarded to
+    ``compute_all`` so the batches can run on the shared-memory worker
     pool, or through the budgeted sketch tier.  ``"shm"`` is
     byte-identical to the plain serial recompute; ``"sketch"`` is not —
-    it answers under the tier's accuracy contract (and recomputes whole
-    batches, ignoring ``delta``/``previous``).
+    it answers under the tier's accuracy contract.
     """
-    from repro.graph.delta import WindowDelta
-
     kwargs = {"strategy": strategy, "engine": engine} if strategy != "serial" else {}
     signatures_now = scheme.compute_all(graph_now, population, **kwargs)
-    if incremental:
-        delta = WindowDelta.from_graphs(graph_now, graph_next)
-        signatures_next = scheme.compute_all(
-            graph_next, population, delta=delta, previous=signatures_now, **kwargs
-        )
-    else:
-        signatures_next = scheme.compute_all(graph_next, population, **kwargs)
+    signatures_next = scheme.compute_all(graph_next, population, **kwargs)
     return signatures_now, signatures_next
 
 

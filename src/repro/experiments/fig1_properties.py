@@ -60,7 +60,6 @@ def _scheme_ellipses(
             graph_now,
             graph_next,
             population,
-            config.incremental,
             strategy=config.strategy,
             engine=_cell_engine(config),
         )

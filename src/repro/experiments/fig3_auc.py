@@ -62,7 +62,6 @@ def _scheme_aucs(task: Tuple[str, ExperimentConfig, str]) -> Dict[str, float]:
             graph_now,
             graph_next,
             population,
-            config.incremental,
             strategy=config.strategy,
             engine=_cell_engine(config),
         )

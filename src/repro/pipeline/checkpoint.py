@@ -199,11 +199,11 @@ class CheckpointStore:
             json.dump(document, handle, sort_keys=True)
 
     def set_run_state(self, state: Mapping) -> None:
-        """Persist run-level state (engine, scheme identity) in the manifest.
+        """Persist run-level state (scheme identity, contract) in the manifest.
 
-        The incremental pipeline stamps its configuration here so a resume
-        can verify the checkpointed prefix was produced under a compatible
-        engine before chaining new windows onto it.
+        The pipeline stamps its configuration here so a resume can verify
+        the checkpointed prefix was produced by a compatible run before
+        appending new windows to it.
         """
         entries = self._read_manifest_entries(strict=True)
         self._write_manifest(entries, run_state=state)

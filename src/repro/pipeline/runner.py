@@ -38,9 +38,8 @@ from repro.core.signature import Signature
 from repro.exceptions import CheckpointError, ErrorBudgetExceeded, PipelineError
 from repro.graph.builders import aggregate_records
 from repro.graph.comm_graph import CommGraph
-from repro.graph.delta import WindowDelta
 from repro.graph.stream import EdgeRecord, ReadReport
-from repro.graph.windows import SlidingWindowAggregator, window_index_of
+from repro.graph.windows import window_index_of
 from repro.pipeline.checkpoint import CheckpointStore
 from repro.types import NodeId
 from repro.pipeline.report import (
@@ -61,22 +60,6 @@ from repro.streaming.stream_schemes import (
 WindowHook = Callable[[int, WindowReport], None]
 
 
-@dataclass
-class _IncrementalState:
-    """Carried across windows by the incremental engine.
-
-    ``aggregator`` holds the live sliding-window graph; ``previous`` is the
-    raw-keyed signature map of the last *exact* window (``None`` when the
-    chain is broken — first window, or after a degraded window whose
-    sketched output cannot seed reuse).
-    """
-
-    aggregator: SlidingWindowAggregator
-    previous: Optional[Dict[NodeId, Signature]] = None
-    last_dirty: int = 0
-    last_reused: int = 0
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs of a pipeline run.
@@ -86,15 +69,11 @@ class PipelineConfig:
     integer window indices (the interchange convention of
     :mod:`repro.datasets.loaders`).
 
-    ``incremental`` routes windows through the delta engine: a
-    :class:`~repro.graph.windows.SlidingWindowAggregator` advances the
-    window graph in place, and each scheme recomputes only its dirty set
-    (byte-identical to the full path's signatures by the
-    ``compute_all(delta=...)`` contract; checkpoints record the engine in
-    the manifest so resumes are checked for compatibility).  Note the
-    incremental engine uses the scheme's *batched* ``compute_all``, so for
-    unbounded RWR — whose batched iteration count is population-coupled —
-    outputs match the batched contract, not the per-node loop.
+    Every window is aggregated and computed in full.  The windows are
+    disjoint, so nearly every edge changes between them and the delta
+    (dirty-set) engine would recompute almost every node on top of its
+    change tracking; it is used only where windows slide (the service
+    shards with ``window_buckets > 1``, ``SequenceMonitor``).
 
     ``error_budget`` bounds rejected rows: a value below 1.0 is a fraction
     of examined rows, a value >= 1 an absolute count; ``None`` disables the
@@ -105,12 +84,10 @@ class PipelineConfig:
 
     ``strategy="shm"`` advances windows through the shared-memory engine
     (:mod:`repro.parallel.shm`): one persistent pool of ``jobs`` workers
-    (``0`` = all available CPUs) recomputes each window's population —
-    or, with ``incremental=True``, just the dirty set — over a zero-copy
-    publication of the window graph.  Signatures are byte-identical to
-    the serial run; schemes whose batches cannot be partitioned
-    (unbounded RWR on the non-incremental path) fall back to the serial
-    per-node loop.
+    (``0`` = all available CPUs) recomputes each window's population
+    over a zero-copy publication of the window graph.  Signatures are
+    byte-identical to the serial run; schemes whose batches cannot be
+    partitioned (unbounded RWR) fall back to the serial per-node loop.
 
     ``strategy="sketch"`` answers each window from a memory-budgeted
     :class:`~repro.streaming.tier.SketchTierEngine` instead: exact
@@ -144,12 +121,9 @@ class PipelineConfig:
     num_windows: Optional[int] = None
     window_length: Optional[float] = None
     bipartite: bool = False
-    incremental: bool = False
     error_budget: Optional[float] = None
     max_memory_cells: Optional[int] = None
     window_deadline: Optional[float] = None
-    streaming_epsilon: float = 0.005
-    streaming_delta: float = 0.01
     seed: int = 0
     obs_port: Optional[int] = None
     sample_interval: Optional[float] = None
@@ -385,15 +359,14 @@ class SignaturePipeline:
         self._enforce_error_budget(read_report)
         buckets = self._split_into_windows(read_report)
 
-        replayed_modes: List[str] = []
+        start_window = 0
         if resume:
             self._check_run_state()
-            replayed_modes = self._replay_checkpoints(len(buckets), report, result)
+            start_window = self._replay_checkpoints(len(buckets), report, result)
         else:
             self.store.clear()
             if self._history is not None:
                 self._history.clear()
-        start_window = len(replayed_modes)
         self.store.set_run_state(self._run_state())
         if self._history is not None:
             self._history.set_state(self._run_state())
@@ -401,15 +374,10 @@ class SignaturePipeline:
         scheme = create_scheme(
             self.config.scheme, k=self.config.k, **self.config.scheme_params
         )
-        inc: Optional[_IncrementalState] = None
-        if self.config.incremental:
-            inc = self._prepare_incremental(
-                buckets, start_window, replayed_modes, scheme
-            )
         for window in range(start_window, len(buckets)):
             with obs.span("pipeline.window"):
                 window_report, signatures = self._process_window(
-                    window, buckets[window], scheme, report, inc
+                    window, buckets[window], scheme, report
                 )
             obs.counter("pipeline.windows", mode=window_report.mode).inc()
             report.windows.append(window_report)
@@ -526,7 +494,6 @@ class SignaturePipeline:
         mix exact and approximate windows in a single run directory.
         """
         return {
-            "engine": "incremental" if self.config.incremental else "full",
             "scheme": self.config.scheme,
             "k": self.config.k,
             "bipartite": self.config.bipartite,
@@ -534,12 +501,15 @@ class SignaturePipeline:
         }
 
     def _check_run_state(self) -> None:
-        """Refuse to resume onto checkpoints from an incompatible engine.
+        """Refuse to resume onto checkpoints from an incompatible run.
 
-        Chaining incremental windows onto a prefix computed under a
-        different scheme, ``k`` or engine would silently break the
-        byte-identity contract; stores without run state (pre-existing
-        checkpoints) are accepted for backwards compatibility.
+        Appending windows to a prefix computed under a different scheme,
+        ``k``, graph shape or contract would silently mix two runs in one
+        directory; stores without run state (pre-existing checkpoints) are
+        accepted for backwards compatibility.  Keys the run no longer
+        stamps are ignored: the ``engine`` key of checkpoints written by
+        the removed incremental pipeline named a path whose output was
+        byte-identical to the full one.
         """
         prior = self.store.run_state()
         if not prior:
@@ -559,34 +529,6 @@ class SignaturePipeline:
                 f"cannot resume: checkpoint run state is incompatible ({detail})"
             )
 
-    def _prepare_incremental(
-        self,
-        buckets: List[List[EdgeRecord]],
-        start_window: int,
-        replayed_modes: List[str],
-        scheme: SignatureScheme,
-    ) -> _IncrementalState:
-        """Rebuild the aggregator (and reuse map) for an incremental run.
-
-        On resume, the replayed buckets are advanced through a fresh
-        aggregator in the same order as the original run — identical
-        mutation sequence, identical graph state — and the last replayed
-        window's signatures are recomputed in full to seed ``previous``
-        (the byte-identity contract makes that equal to what the
-        uninterrupted chain carried).
-        """
-        state = _IncrementalState(
-            aggregator=SlidingWindowAggregator(bipartite=self.config.bipartite)
-        )
-        for index in range(start_window):
-            state.aggregator.advance(sorted(buckets[index]))
-        if start_window and replayed_modes[-1] == MODE_EXACT:
-            graph = state.aggregator.graph
-            state.previous = scheme.compute_all(
-                graph, self._population(graph), **self._compute_kwargs()
-            )
-        return state
-
     def _compute_kwargs(self) -> Dict:
         """``compute_all`` strategy forwarding: the engaged engine (shm or
         sketch), nothing otherwise."""
@@ -598,9 +540,8 @@ class SignaturePipeline:
 
     def _replay_checkpoints(
         self, num_windows: int, report: RunReport, result: PipelineResult
-    ) -> List[str]:
-        """Replay the verified checkpoint prefix; returns the original
-        (pre-replay) mode of each replayed window, in order."""
+    ) -> int:
+        """Replay the verified checkpoint prefix; returns its length."""
         scan = self.store.scan()
         report.issues.extend(scan.issues)
         good = scan.good[:num_windows]
@@ -629,7 +570,7 @@ class SignaturePipeline:
                 windows=len(good),
                 issues=list(scan.issues),
             )
-        return [entry.mode for entry in good]
+        return len(good)
 
     # ------------------------------------------------------------------
     # Per-window computation
@@ -640,21 +581,13 @@ class SignaturePipeline:
         records: List[EdgeRecord],
         scheme: SignatureScheme,
         report: RunReport,
-        inc: Optional[_IncrementalState] = None,
     ) -> Tuple[WindowReport, Dict[str, Signature]]:
         started = self._clock()
         # Canonicalise arrival order: records are a multiset per window, but
         # float aggregation is order-sensitive, so sorting makes the output
         # invariant to out-of-order delivery (and byte-stable across resumes).
         records = sorted(records)
-        delta: Optional[WindowDelta] = None
-        if inc is not None:
-            # Advance G_t -> G_{t+1} by the arriving records only; the
-            # aggregator's graph is bit-identical to fresh aggregation.
-            delta = inc.aggregator.advance(records)
-            graph = inc.aggregator.graph
-        else:
-            graph = aggregate_records(records, bipartite=self.config.bipartite)
+        graph = aggregate_records(records, bipartite=self.config.bipartite)
         mode, reason = MODE_EXACT, ""
 
         cells = graph.num_nodes + graph.num_edges
@@ -670,12 +603,7 @@ class SignaturePipeline:
 
         signatures: Dict[str, Signature] = {}
         if mode == MODE_EXACT:
-            if inc is not None:
-                exact = self._compute_exact_incremental(
-                    graph, scheme, started, inc, delta
-                )
-            else:
-                exact = self._compute_exact(graph, scheme, started)
+            exact = self._compute_exact(graph, scheme, started)
             if exact is None:
                 mode = MODE_DEGRADED
                 reason = (
@@ -684,19 +612,7 @@ class SignaturePipeline:
                 )
             else:
                 signatures = exact
-                if inc is not None:
-                    obs.emit(
-                        "pipeline.window.incremental",
-                        level="debug",
-                        window=window,
-                        dirty=inc.last_dirty,
-                        reused=inc.last_reused,
-                        signatures=len(signatures),
-                    )
         if mode == MODE_DEGRADED:
-            if inc is not None:
-                # Sketched output cannot seed exact reuse; break the chain.
-                inc.previous = None
             obs.counter("pipeline.degradations").inc()
             signatures = self._compute_degraded(records)
             if self.config.scheme not in ("tt", "ut"):
@@ -718,8 +634,6 @@ class SignaturePipeline:
             "num_edges": graph.num_edges,
             "reason": reason,
         }
-        if inc is not None:
-            meta["engine"] = "incremental"
         entry = self._save_window(window, signatures, meta, mode, report)
         if self._history is not None:
             # Tee into the history store; its supersede rule keeps it in
@@ -746,58 +660,6 @@ class SignaturePipeline:
     def _population(self, graph: CommGraph) -> List[NodeId]:
         """Owners to compute signatures for: nodes that sent anything."""
         return [node for node in graph.nodes() if graph.out_strength(node) > 0]
-
-    def _compute_exact_incremental(
-        self,
-        graph: CommGraph,
-        scheme: SignatureScheme,
-        started: float,
-        inc: _IncrementalState,
-        delta: Optional[WindowDelta],
-    ) -> Optional[Dict[str, Signature]]:
-        """Exact signatures via the dirty-set path, or ``None`` on deadline.
-
-        Uses the scheme's batched ``compute_all`` contract (identical for
-        every scheme, and required for reuse); the deadline is checked
-        after the batch rather than per-node.
-        """
-        population = self._population(graph)
-        use_delta = delta if inc.previous is not None else None
-        registry = obs.get_registry()
-        dirty_before = registry.counter_value(
-            "incremental.dirty_nodes", scheme=scheme.name
-        )
-        reused_before = registry.counter_value(
-            "incremental.reused_signatures", scheme=scheme.name
-        )
-        raw = scheme.compute_all(
-            graph,
-            population,
-            delta=use_delta,
-            previous=inc.previous,
-            **self._compute_kwargs(),
-        )
-        if use_delta is None:
-            # Cold start (first window, or after a degraded window): the
-            # whole population was computed fresh.
-            inc.last_dirty, inc.last_reused = len(population), 0
-        else:
-            inc.last_dirty = int(
-                registry.counter_value("incremental.dirty_nodes", scheme=scheme.name)
-                - dirty_before
-            )
-            inc.last_reused = int(
-                registry.counter_value(
-                    "incremental.reused_signatures", scheme=scheme.name
-                )
-                - reused_before
-            )
-        deadline = self.config.window_deadline
-        if deadline is not None and self._clock() - started > deadline:
-            inc.previous = None
-            return None
-        inc.previous = raw
-        return {str(node): signature for node, signature in raw.items()}
 
     def _compute_exact(
         self, graph: CommGraph, scheme: SignatureScheme, started: float
@@ -829,18 +691,10 @@ class SignaturePipeline:
         """One-pass sketched signatures for the window (Section VI path)."""
         if self.config.scheme == "ut":
             builder: StreamingTopTalkers = StreamingUnexpectedTalkers(
-                k=self.config.k,
-                epsilon=self.config.streaming_epsilon,
-                delta=self.config.streaming_delta,
-                seed=self.config.seed,
+                k=self.config.k, seed=self.config.seed
             )
         else:
-            builder = StreamingTopTalkers(
-                k=self.config.k,
-                epsilon=self.config.streaming_epsilon,
-                delta=self.config.streaming_delta,
-                seed=self.config.seed,
-            )
+            builder = StreamingTopTalkers(k=self.config.k, seed=self.config.seed)
         builder.observe_records(records)
         return {str(source): builder.signature(source) for source in builder.sources}
 

@@ -102,8 +102,8 @@ class ServiceConfig:
         ``distance`` (registry name) and ``anomaly_threshold`` define the
         ``/anomaly`` contract: a node is anomalous when its persistence
         ``1 - dist(sig_prev, sig_now)`` falls below the threshold.
-        ``streaming_*`` parameterise the Section VI sketch tier that
-        answers for unhealthy shards.
+        The Section VI sketch tier that answers for unhealthy shards uses
+        the streaming sketches' default error bounds.
     """
 
     scheme: str = "tt"
@@ -121,8 +121,6 @@ class ServiceConfig:
     breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
     distance: str = "sdice"
     anomaly_threshold: float = 0.3
-    streaming_epsilon: float = 0.005
-    streaming_delta: float = 0.01
     seed: int = 0
     #: ``"shm"`` advances shard windows through a shared
     #: :class:`repro.parallel.shm.ShmEngine` pool (``jobs`` workers, 0 =

@@ -358,12 +358,7 @@ class SketchTier:
             if self.config.scheme == "ut"
             else StreamingTopTalkers
         )
-        return cls(
-            k=self.config.k,
-            epsilon=self.config.streaming_epsilon,
-            delta=self.config.streaming_delta,
-            seed=self.config.seed,
-        )
+        return cls(k=self.config.k, seed=self.config.seed)
 
     def advance(self, bucket: Sequence[EdgeRecord]) -> None:
         """Roll the sketch window forward by one bucket (merge, not rebuild).

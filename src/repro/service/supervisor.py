@@ -209,9 +209,12 @@ class ShardSupervisor:
         Records are routed by source node (signatures are owner-centric);
         every shard advances even on an empty sub-bucket so windows stay in
         lockstep.  Shard failures are contained — one shard crashing,
-        degrading or going down never blocks the others.
+        degrading or going down never blocks the others.  ``self.window``
+        moves to the new window only once every shard has had its turn, so
+        ``/status`` and response stamps never name a window no shard
+        serves yet.
         """
-        self.window += 1
+        window = self.window + 1
         routed: Dict[int, List[EdgeRecord]] = {
             state.shard_id: [] for state in self.shards
         }
@@ -222,15 +225,18 @@ class ShardSupervisor:
             # Acknowledge durability first: once logged, the records survive
             # any engine crash below (the rebuild replays the log).
             state.buckets.append(list(sub))
-            self._advance_sketch(state, sub)
-            self._advance_engine(state, sub)
+            self._advance_sketch(state, sub, window)
+            self._advance_engine(state, sub, window)
+        self.window = window
 
-    def _advance_sketch(self, state: ShardState, sub: List[EdgeRecord]) -> None:
+    def _advance_sketch(
+        self, state: ShardState, sub: List[EdgeRecord], window: int
+    ) -> None:
         if state.health == HEALTH_DOWN:
             return
         try:
             if state.injector is not None:
-                state.injector.on_sketch(state.shard_id, self.window)
+                state.injector.on_sketch(state.shard_id, window)
             state.sketch.advance(sub)
         except Exception as error:  # noqa: BLE001 - escalation, not masking
             state.health = HEALTH_DOWN
@@ -239,22 +245,24 @@ class ShardSupervisor:
                 "service.shard.down",
                 level="error",
                 shard=state.shard_id,
-                window=self.window,
+                window=window,
                 error=str(error),
             )
             state.registry.counter("shard.down_transitions").inc()
 
-    def _advance_engine(self, state: ShardState, sub: List[EdgeRecord]) -> None:
+    def _advance_engine(
+        self, state: ShardState, sub: List[EdgeRecord], window: int
+    ) -> None:
         if state.health == HEALTH_DOWN:
             return
         if state.engine is None:
             # Previously demoted: try one opportunistic rebuild per window,
             # so clearing the underlying fault heals the shard.
-            self._try_restart(state, opportunistic=True)
+            self._try_restart(state, opportunistic=True, window=window)
             return
         try:
             if state.injector is not None:
-                state.injector.on_apply(state.shard_id, self.window)
+                state.injector.on_apply(state.shard_id, window)
             state.engine.apply(sub)
         except Exception as error:  # noqa: BLE001 - supervised restart below
             state.last_error = str(error)
@@ -262,14 +270,22 @@ class ShardSupervisor:
                 "service.shard.crashed",
                 level="error",
                 shard=state.shard_id,
-                window=self.window,
+                window=window,
                 error=str(error),
             )
             state.registry.counter("shard.crashes").inc()
-            self._try_restart(state, opportunistic=False)
+            self._try_restart(state, opportunistic=False, window=window)
 
-    def _try_restart(self, state: ShardState, opportunistic: bool) -> None:
-        """Rebuild the shard engine under the retry policy; demote on failure."""
+    def _try_restart(
+        self, state: ShardState, opportunistic: bool, window: Optional[int] = None
+    ) -> None:
+        """Rebuild the shard engine under the retry policy; demote on failure.
+
+        ``window`` (default: the published window) is stamped on the events;
+        ingest passes the window it is applying.
+        """
+        if window is None:
+            window = self.window
 
         def attempt() -> ShardEngine:
             state.restarts += 1
@@ -327,7 +343,7 @@ class ShardSupervisor:
                     "service.shard.degraded",
                     level="error",
                     shard=state.shard_id,
-                    window=self.window,
+                    window=window,
                     error=str(error),
                 )
                 state.registry.counter("shard.degradations").inc()
@@ -338,7 +354,7 @@ class ShardSupervisor:
                 "service.shard.recovered",
                 level="info",
                 shard=state.shard_id,
-                window=self.window,
+                window=window,
             )
         state.health = HEALTH_HEALTHY
         state.registry.counter("shard.restarts").inc()
@@ -346,7 +362,7 @@ class ShardSupervisor:
             "service.shard.restarted",
             level="info",
             shard=state.shard_id,
-            window=self.window,
+            window=window,
         )
 
     # ------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Pipeline integration of the shared-memory recompute engine.
 
 ``strategy="shm"`` must leave every pipeline output byte-identical —
-window signatures, checkpoints, report — in both the full-recompute and
-incremental modes, and the run must release its worker pool and segments
-whether it succeeds or dies mid-window.
+window signatures, checkpoints, report — and the run must release its
+worker pool and segments whether it succeeds or dies mid-window.
 """
 
 import random
@@ -48,22 +47,18 @@ def run_pipeline(trace, tmp_path, tag, **config_kwargs):
 
 
 class TestPipelineShmStrategy:
-    @pytest.mark.parametrize("incremental", [False, True])
     @pytest.mark.parametrize(
         "scheme,params",
         [("tt", {}), ("rwr", {"max_hops": 3}), ("rwr", {})],
     )
-    def test_byte_identical_to_serial(
-        self, trace, tmp_path, incremental, scheme, params
-    ):
+    def test_byte_identical_to_serial(self, trace, tmp_path, scheme, params):
         serial = run_pipeline(
-            trace, tmp_path, f"s-{scheme}-{incremental}",
-            scheme=scheme, scheme_params=params, incremental=incremental,
+            trace, tmp_path, "serial",
+            scheme=scheme, scheme_params=params,
         )
         shm = run_pipeline(
-            trace, tmp_path, f"p-{scheme}-{incremental}",
-            scheme=scheme, scheme_params=params, incremental=incremental,
-            strategy="shm", jobs=2,
+            trace, tmp_path, "shm",
+            scheme=scheme, scheme_params=params, strategy="shm", jobs=2,
         )
         assert shm == serial
         assert active_segment_names() == []

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.scheme import create_scheme
-from repro.exceptions import ErrorBudgetExceeded, PipelineError
+from repro.exceptions import CheckpointError, ErrorBudgetExceeded, PipelineError
 from repro.graph.builders import aggregate_records
 from repro.graph.stream import EdgeRecord, write_edge_records
 from repro.pipeline import (
@@ -14,7 +14,12 @@ from repro.pipeline import (
     SignaturePipeline,
     mean_topk_overlap,
 )
-from repro.pipeline.faults import FlakyCheckpointStore, FlakySource
+from repro.pipeline.faults import (
+    CrashInjector,
+    FlakyCheckpointStore,
+    FlakySource,
+    SimulatedCrash,
+)
 from repro.pipeline.report import MODE_CACHED, MODE_DEGRADED, MODE_EXACT
 
 
@@ -243,6 +248,49 @@ class TestResume:
         assert resumed.report.resumed_from == 3
         assert all(w.mode == MODE_CACHED for w in resumed.report.windows)
         assert resumed.signatures == full.signatures
+
+
+class TestRunStateGuard:
+    def test_scheme_mismatch_rejected(self, trace, tmp_path):
+        make_pipeline(trace, tmp_path, PipelineConfig(scheme="tt", k=5)).run()
+        resuming = make_pipeline(trace, tmp_path, PipelineConfig(scheme="ut", k=5))
+        with pytest.raises(CheckpointError, match="scheme"):
+            resuming.run(resume=True)
+
+    def test_fresh_run_ignores_stale_state(self, trace, tmp_path):
+        make_pipeline(trace, tmp_path, PipelineConfig(scheme="tt", k=5)).run()
+        # resume=False clears the store, so no conflict arises.
+        result = make_pipeline(
+            trace, tmp_path, PipelineConfig(scheme="ut", k=5)
+        ).run()
+        assert len(result.signatures) == 3
+
+    def test_resumes_checkpoints_stamped_with_incremental_engine(
+        self, trace, tmp_path
+    ):
+        # Checkpoints written by the removed incremental pipeline carry
+        # "engine": "incremental" in their run state.  That path's output
+        # was byte-identical to the full one, so the prefix is replayed.
+        baseline_dir = tmp_path / "baseline"
+        baseline = SignaturePipeline(
+            CsvRecordSource(trace),
+            CheckpointStore(baseline_dir),
+            PipelineConfig(scheme="tt", k=5),
+        ).run()
+        with pytest.raises(SimulatedCrash):
+            make_pipeline(trace, tmp_path, hooks=[CrashInjector(at_window=1)]).run()
+        store = CheckpointStore(tmp_path / "ckpt")
+        store.set_run_state({**store.run_state(), "engine": "incremental"})
+
+        resumed = make_pipeline(trace, tmp_path).run(resume=True)
+        assert resumed.report.resumed_from == 2
+        assert [w.mode for w in resumed.report.windows] == [
+            MODE_CACHED, MODE_CACHED, MODE_EXACT,
+        ]
+        assert resumed.signatures == baseline.signatures
+        assert "engine" not in store.run_state()
+        for path in sorted(baseline_dir.glob("window-*.json")):
+            assert (tmp_path / "ckpt" / path.name).read_bytes() == path.read_bytes()
 
 
 class TestRunObservability:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.pipeline.faults import SimulatedCrash
 from repro.service import (
     HEALTH_DEGRADED,
     HEALTH_DOWN,
@@ -9,6 +10,7 @@ from repro.service import (
     STATE_CLOSED,
     BreakSketch,
     KillShard,
+    ShardFaultInjector,
     ShardSupervisor,
 )
 
@@ -144,7 +146,44 @@ class TestRecovery:
         assert state.engine.signatures == reference.shards[2].engine.signatures
 
 
+class WindowProbe(ShardFaultInjector):
+    """Records the published window while a shard applies a bucket."""
+
+    def __init__(self, supervisor, crash_at=None):
+        self.supervisor = supervisor
+        self.crash_at = crash_at
+        self.seen = []
+
+    def on_apply(self, shard_id, window):
+        self.seen.append(
+            (window, self.supervisor.window, self.supervisor.status()["window"])
+        )
+        if window == self.crash_at:
+            raise SimulatedCrash(f"probe: crashed shard {shard_id} at {window}")
+
+
 class TestStatus:
+    def test_published_window_trails_shard_apply(self, small_config, traffic):
+        supervisor = ShardSupervisor(small_config)
+        probes = [
+            WindowProbe(supervisor, crash_at=2 if state.shard_id == 1 else None)
+            for state in supervisor.shards
+        ]
+        for state, probe in zip(supervisor.shards, probes):
+            supervisor.install_injector(state.shard_id, probe)
+        for index, bucket in enumerate(traffic):
+            supervisor.ingest(bucket)
+            # Published only once every shard — the crashed and rebuilt
+            # one included — has had its turn.
+            assert supervisor.window == index
+            assert supervisor.status()["window"] == index
+        for probe in probes:
+            assert probe.seen == [
+                (window, window - 1, window - 1) for window in range(len(traffic))
+            ]
+        assert supervisor.shards[1].restarts == 1
+        assert supervisor.shards[1].health == HEALTH_HEALTHY
+
     def test_status_shape(self, small_config, traffic):
         supervisor = ShardSupervisor(small_config)
         for bucket in traffic:

@@ -829,12 +829,7 @@ def bench_sketch_advance(quick: bool, repeats: int, records_out: list) -> None:
         current = None
         for bucket in buckets:
             retained.append(sorted(bucket))
-            builder = StreamingTopTalkers(
-                k=config.k,
-                epsilon=config.streaming_epsilon,
-                delta=config.streaming_delta,
-                seed=config.seed,
-            )
+            builder = StreamingTopTalkers(k=config.k, seed=config.seed)
             for part in retained:
                 builder.observe_records(part)
             current = builder
