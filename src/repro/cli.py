@@ -436,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="sample counters/gauges/histogram quantiles into bounded "
+        help="sample counters/gauges/digest quantiles into bounded "
         "time series at this period (served at /series.json with --obs-serve)",
     )
     pipeline_group = parser.add_argument_group("pipeline options")

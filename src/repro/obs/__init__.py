@@ -26,11 +26,9 @@ shared no-op, so instrumented code pays a single attribute read.
 """
 
 from repro.obs.registry import (
-    DEFAULT_BUCKETS,
     Counter,
     Digest,
     Gauge,
-    Histogram,
     MetricsRegistry,
     NullRegistry,
     NULL_REGISTRY,
@@ -41,7 +39,6 @@ from repro.obs.registry import (
     enabled,
     gauge,
     get_registry,
-    histogram,
     merge_into_active,
     render_key,
     span,
@@ -100,9 +97,8 @@ from repro.obs.timeseries import (
     Sampler,
     Series,
     TimeSeriesStore,
-    quantile_from_buckets,
 )
-from repro.obs.server import PROMETHEUS_CONTENT_TYPE, ObsServer
+from repro.obs.server import PROMETHEUS_CONTENT_TYPE, ObsServer, RouteServer
 from repro.obs.alerts import (
     AlertEvent,
     AlertManager,
@@ -114,7 +110,6 @@ __all__ = [
     "AlertEvent",
     "AlertManager",
     "AlertRule",
-    "DEFAULT_BUCKETS",
     "DEFAULT_QUANTILES",
     "DEFAULT_RELATIVE_ACCURACY",
     "DEFAULT_WINDOWS_S",
@@ -123,7 +118,6 @@ __all__ = [
     "EventLog",
     "EXPORT_QUANTILES",
     "Gauge",
-    "Histogram",
     "KIND_AVAILABILITY",
     "KIND_LATENCY",
     "LEVELS",
@@ -136,6 +130,7 @@ __all__ = [
     "ObsServer",
     "PROMETHEUS_CONTENT_TYPE",
     "RequestContext",
+    "RouteServer",
     "Sampler",
     "SCHEMA_ID",
     "SLOTracker",
@@ -160,13 +155,11 @@ __all__ = [
     "gauge",
     "get_event_log",
     "get_registry",
-    "histogram",
     "merge_digest_states",
     "merge_into_active",
     "new_run_id",
     "new_trace_id",
     "persistence_drop_rule",
-    "quantile_from_buckets",
     "quantile_from_state",
     "read_events",
     "render_key",

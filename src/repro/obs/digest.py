@@ -1,10 +1,10 @@
 """Mergeable log-bucketed quantile digests with guaranteed relative error.
 
-Fixed-bucket histograms (:class:`repro.obs.registry.Histogram`) answer
-"how many requests were slower than 100 ms", but their quantile estimates
-are only as good as the hand-picked edges — a p99 that lands between two
-coarse edges can be off by the whole bucket.  :class:`LatencyDigest` is a
-DDSketch-style sketch (Masson, Rim & Lee, VLDB 2019): values map to
+Fixed-bucket histograms answer "how many requests were slower than
+100 ms", but their quantile estimates are only as good as the hand-picked
+edges — a p99 that lands between two coarse edges can be off by the whole
+bucket; that is why the registry carries no such instrument.
+:class:`LatencyDigest` is a DDSketch-style sketch (Masson, Rim & Lee, VLDB 2019): values map to
 geometric buckets ``gamma^(i-1) < v <= gamma^i`` with
 ``gamma = (1 + alpha) / (1 - alpha)``, so *every* quantile estimate is
 within a factor ``1 ± alpha`` of a true order statistic, at any scale,

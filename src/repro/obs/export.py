@@ -3,7 +3,7 @@ dependency-free structural validator for the JSON payload.
 
 The JSON payload (``schema: repro.obs/v1``) nests the flat span records
 from :meth:`MetricsRegistry.snapshot` into a parent/child tree and keys
-counters/gauges/histograms by their rendered ``name{label=value,...}``
+counters, gauges and digests by their rendered ``name{label=value,...}``
 form, so the file is stable, diffable, and greppable.
 """
 
@@ -60,10 +60,6 @@ def build_payload(snapshot: Dict, meta: Optional[Dict] = None) -> Dict:
         "meta": dict(meta or {}),
         "counters": _rendered(snapshot.get("counters", [])),
         "gauges": _rendered(snapshot.get("gauges", [])),
-        "histograms": {
-            render_key(name, tuple(sorted(labels.items()))): dict(state)
-            for name, labels, state in snapshot.get("histograms", [])
-        },
         "spans": _span_tree(snapshot.get("spans", [])),
     }
     digests = snapshot.get("digests")
@@ -137,21 +133,6 @@ def to_prometheus(snapshot: Dict) -> str:
         prom = _prom_name(name)
         _type_line(prom, "gauge")
         lines.append(f"{prom}{_prom_labels(labels)} {value:g}")
-    for name, labels, state in snapshot.get("histograms", []):
-        prom = _prom_name(name)
-        _type_line(prom, "histogram")
-        cumulative = 0
-        for edge, count in zip(state["buckets"], state["counts"]):
-            cumulative += count
-            bucket_labels = dict(labels)
-            bucket_labels["le"] = f"{edge:g}"
-            lines.append(f"{prom}_bucket{_prom_labels(bucket_labels)} {cumulative}")
-        cumulative += state["counts"][-1]
-        inf_labels = dict(labels)
-        inf_labels["le"] = "+Inf"
-        lines.append(f"{prom}_bucket{_prom_labels(inf_labels)} {cumulative}")
-        lines.append(f"{prom}_sum{_prom_labels(labels)} {state['sum']:g}")
-        lines.append(f"{prom}_count{_prom_labels(labels)} {state['count']}")
     for name, labels, state in snapshot.get("digests", []):
         prom = _prom_name(name)
         _type_line(prom, "summary")
@@ -205,28 +186,6 @@ def validate_payload(payload: Dict) -> List[str]:
                 _expect(isinstance(key, str), f"{section} key {key!r} must be a string")
                 _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
                         f"{section}[{key!r}] must be a number")
-    histograms = payload.get("histograms")
-    _expect(isinstance(histograms, dict), "histograms must be an object")
-    if isinstance(histograms, dict):
-        for key, state in histograms.items():
-            if not isinstance(state, dict):
-                errors.append(f"histograms[{key!r}] must be an object")
-                continue
-            for field in ("buckets", "counts", "sum", "count"):
-                _expect(field in state, f"histograms[{key!r}] missing {field!r}")
-            buckets = state.get("buckets", [])
-            counts = state.get("counts", [])
-            _expect(isinstance(buckets, list) and isinstance(counts, list),
-                    f"histograms[{key!r}] buckets/counts must be arrays")
-            if isinstance(buckets, list) and isinstance(counts, list):
-                _expect(len(counts) == len(buckets) + 1,
-                        f"histograms[{key!r}] needs len(counts) == len(buckets)+1")
-                _expect(list(buckets) == sorted(buckets),
-                        f"histograms[{key!r}] buckets must be sorted")
-                total = sum(count for count in counts if isinstance(count, int))
-                _expect(total == state.get("count"),
-                        f"histograms[{key!r}] bucket counts must sum to count")
-
     digests = payload.get("digests")
     if digests is not None:  # optional section: pre-digest payloads omit it
         _expect(isinstance(digests, dict), "digests must be an object")
@@ -317,13 +276,11 @@ def validate_prometheus(text: str) -> List[str]:
     """Validate Prometheus text exposition; return problems (empty if valid).
 
     Checks each line against the exposition grammar (metric name, quoted
-    and escaped label values, parseable sample value) plus the histogram
-    invariants a concurrent-scrape bug would break: cumulative ``_bucket``
-    counts must be non-decreasing toward ``+Inf``, and the ``+Inf`` bucket
-    must equal the matching ``_count`` sample.
+    and escaped label values, parseable sample value) plus the summary
+    invariants a concurrent-scrape bug would break: quantile values must be
+    non-decreasing in the quantile, and every summary needs a ``_count``.
     """
     errors: List[str] = []
-    buckets: Dict[tuple, List[tuple]] = {}
     counts: Dict[tuple, float] = {}
     quantiles: Dict[tuple, List[tuple]] = {}
     for number, line in enumerate(text.splitlines(), start=1):
@@ -355,13 +312,7 @@ def validate_prometheus(text: str) -> List[str]:
                 f"line {number}: unparseable value {match.group('value')!r}"
             )
             continue
-        if name.endswith("_bucket") and "le" in labels:
-            family = name[: -len("_bucket")]
-            rest = tuple(sorted(
-                (key, val) for key, val in labels.items() if key != "le"
-            ))
-            buckets.setdefault((family, rest), []).append((labels["le"], value))
-        elif name.endswith("_count"):
+        if name.endswith("_count"):
             family = name[: -len("_count")]
             rest = tuple(sorted(labels.items()))
             counts[(family, rest)] = value
@@ -371,20 +322,6 @@ def validate_prometheus(text: str) -> List[str]:
             ))
             quantiles.setdefault((name, rest), []).append(
                 (labels["quantile"], value, number)
-            )
-    for (family, rest), series in buckets.items():
-        cumulative = [value for _le, value in series]
-        if cumulative != sorted(cumulative):
-            errors.append(
-                f"{family}{dict(rest)}: bucket counts not cumulative: {series}"
-            )
-        inf_values = [value for le, value in series if le == "+Inf"]
-        if not inf_values:
-            errors.append(f"{family}{dict(rest)}: missing +Inf bucket")
-        elif (family, rest) in counts and inf_values[0] != counts[(family, rest)]:
-            errors.append(
-                f"{family}{dict(rest)}: +Inf bucket {inf_values[0]} != "
-                f"_count {counts[(family, rest)]}"
             )
     for (family, rest), series in quantiles.items():
         parsed = []

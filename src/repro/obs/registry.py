@@ -1,4 +1,4 @@
-"""Process-local metrics registry: counters, gauges, histograms and spans.
+"""Process-local metrics registry: counters, gauges, latency digests and spans.
 
 The registry is the hub of the observability layer (:mod:`repro.obs`).
 Design constraints, in priority order:
@@ -10,7 +10,7 @@ Design constraints, in priority order:
 * **Mergeable across processes.**  :meth:`MetricsRegistry.snapshot`
   produces a plain-data (picklable, JSON-able) image of the registry;
   :meth:`MetricsRegistry.merge` folds a snapshot back in.  Counters and
-  histogram buckets add, gauges combine with ``max`` — all commutative
+  digest buckets add, gauges combine with ``max`` — all commutative
   and associative, so the merged result is identical for any worker
   scheduling as long as snapshots are merged in a fixed order (which
   :func:`repro.parallel.parallel_map` guarantees by merging in input
@@ -36,11 +36,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.digest import DEFAULT_RELATIVE_ACCURACY, LatencyDigest
 from repro.obs.profiling import capture_profile
-
-#: Default histogram buckets (seconds-ish scale; upper edges, +inf implied).
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0
-)
 
 _LabelsKey = Tuple[Tuple[str, str], ...]
 _InstrumentKey = Tuple[str, _LabelsKey]
@@ -91,43 +86,13 @@ class Gauge:
             self._registry._gauges[self._key] = float(value)
 
 
-class Histogram:
-    """Fixed-bucket histogram; bucket counts merge by summing.
-
-    ``buckets`` are upper edges; an implicit ``+inf`` bucket catches the
-    tail.  All workers must agree on the edges for a merge to be valid.
-    """
-
-    __slots__ = ("_registry", "_key")
-
-    def __init__(self, registry: "MetricsRegistry", key: _InstrumentKey) -> None:
-        self._registry = registry
-        self._key = key
-
-    def observe(self, value: float) -> None:
-        registry = self._registry
-        with registry._lock:
-            state = registry._histograms[self._key]
-            edges = state["buckets"]
-            index = len(edges)
-            for position, edge in enumerate(edges):
-                if value <= edge:
-                    index = position
-                    break
-            state["counts"][index] += 1
-            state["sum"] += value
-            state["count"] += 1
-            state["min"] = value if state["count"] == 1 else min(state["min"], value)
-            state["max"] = value if state["count"] == 1 else max(state["max"], value)
-
-
 class Digest:
     """Log-bucketed quantile digest; merges by adding bucket counts.
 
-    Unlike :class:`Histogram` there are no edges to agree on — only the
-    relative-accuracy parameter, which all workers must share for a merge
-    to be valid.  Quantile estimates carry a guaranteed relative-error
-    bound (see :mod:`repro.obs.digest`).
+    There are no bucket edges to agree on — only the relative-accuracy
+    parameter, which all workers must share for a merge to be valid.
+    Quantile estimates carry a guaranteed relative-error bound (see
+    :mod:`repro.obs.digest`).
     """
 
     __slots__ = ("_registry", "_key")
@@ -143,7 +108,7 @@ class Digest:
 
 
 class _NullInstrument:
-    """Shared do-nothing counter/gauge/histogram for the null registry."""
+    """Shared do-nothing counter/gauge/digest for the null registry."""
 
     __slots__ = ()
 
@@ -272,7 +237,6 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._counters: Dict[_InstrumentKey, float] = {}
         self._gauges: Dict[_InstrumentKey, float] = {}
-        self._histograms: Dict[_InstrumentKey, Dict] = {}
         self._digests: Dict[_InstrumentKey, LatencyDigest] = {}
         self._spans: Dict[Tuple[str, ...], Dict] = {}
 
@@ -284,31 +248,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, **labels) -> Gauge:
         return Gauge(self, (name, _labels_key(labels)))
-
-    def histogram(
-        self, name: str, buckets: Sequence[float] | None = None, **labels
-    ) -> Histogram:
-        key = (name, _labels_key(labels))
-        with self._lock:
-            state = self._histograms.get(key)
-            if state is None:
-                edges = tuple(buckets) if buckets is not None else DEFAULT_BUCKETS
-                if list(edges) != sorted(edges):
-                    raise ValueError(f"histogram buckets must be sorted: {edges}")
-                self._histograms[key] = {
-                    "buckets": list(edges),
-                    "counts": [0] * (len(edges) + 1),
-                    "sum": 0.0,
-                    "count": 0,
-                    "min": 0.0,
-                    "max": 0.0,
-                }
-            elif buckets is not None and list(buckets) != state["buckets"]:
-                raise ValueError(
-                    f"histogram {render_key(*key)!r} already exists with "
-                    f"buckets {state['buckets']}"
-                )
-        return Histogram(self, key)
 
     def digest(
         self, name: str, relative_accuracy: float | None = None, **labels
@@ -376,21 +315,6 @@ class MetricsRegistry:
                     [name, dict(labels), value]
                     for (name, labels), value in sorted(self._gauges.items())
                 ],
-                "histograms": [
-                    [
-                        name,
-                        dict(labels),
-                        {
-                            "buckets": list(state["buckets"]),
-                            "counts": list(state["counts"]),
-                            "sum": state["sum"],
-                            "count": state["count"],
-                            "min": state["min"],
-                            "max": state["max"],
-                        },
-                    ]
-                    for (name, labels), state in sorted(self._histograms.items())
-                ],
                 "digests": [
                     [name, dict(labels), state.to_dict()]
                     for (name, labels), state in sorted(self._digests.items())
@@ -424,38 +348,6 @@ class MetricsRegistry:
             for name, labels, value in snapshot.get("gauges", []):
                 key = (name, _labels_key(labels))
                 self._gauges[key] = max(self._gauges.get(key, value), value)
-            for name, labels, incoming in snapshot.get("histograms", []):
-                key = (name, _labels_key(labels))
-                state = self._histograms.get(key)
-                if state is None:
-                    self._histograms[key] = {
-                        "buckets": list(incoming["buckets"]),
-                        "counts": list(incoming["counts"]),
-                        "sum": incoming["sum"],
-                        "count": incoming["count"],
-                        "min": incoming["min"],
-                        "max": incoming["max"],
-                    }
-                    continue
-                if state["buckets"] != list(incoming["buckets"]):
-                    raise ValueError(
-                        f"cannot merge histogram {render_key(name, _labels_key(labels))!r}:"
-                        f" bucket edges differ"
-                    )
-                state["counts"] = [
-                    mine + theirs
-                    for mine, theirs in zip(state["counts"], incoming["counts"])
-                ]
-                had_any = state["count"] > 0
-                state["sum"] += incoming["sum"]
-                state["count"] += incoming["count"]
-                if incoming["count"]:
-                    state["min"] = (
-                        min(state["min"], incoming["min"]) if had_any else incoming["min"]
-                    )
-                    state["max"] = (
-                        max(state["max"], incoming["max"]) if had_any else incoming["max"]
-                    )
             for name, labels, incoming in snapshot.get("digests", []):
                 key = (name, _labels_key(labels))
                 state = self._digests.get(key)
@@ -520,11 +412,6 @@ class NullRegistry:
     def gauge(self, name: str, **labels) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def histogram(
-        self, name: str, buckets: Sequence[float] | None = None, **labels
-    ) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
     def digest(
         self, name: str, relative_accuracy: float | None = None, **labels
     ) -> _NullInstrument:
@@ -537,7 +424,7 @@ class NullRegistry:
         return _NULL_SPAN
 
     def snapshot(self) -> Dict:
-        return {"counters": [], "gauges": [], "histograms": [], "spans": []}
+        return {"counters": [], "gauges": [], "digests": [], "spans": []}
 
     def merge(self, snapshot: Dict, prefix: Tuple[str, ...] = ()) -> None:
         return None
@@ -585,11 +472,6 @@ def counter(name: str, **labels):
 def gauge(name: str, **labels):
     """Gauge on the active registry (no-op when observability is off)."""
     return _ACTIVE.get().gauge(name, **labels)
-
-
-def histogram(name: str, buckets: Sequence[float] | None = None, **labels):
-    """Histogram on the active registry (no-op when observability is off)."""
-    return _ACTIVE.get().histogram(name, buckets=buckets, **labels)
 
 
 def digest(name: str, relative_accuracy: float | None = None, **labels):

@@ -7,13 +7,11 @@ watched *over* windows.  This module provides:
 
 * :class:`Series` — a bounded ring buffer of ``(t, value)`` points;
 * :class:`TimeSeriesStore` — named series plus :meth:`TimeSeriesStore.sample`,
-  which folds a whole registry snapshot in (counters, gauges, histogram
+  which folds a whole registry snapshot in (counters, gauges, digest
   quantiles) keyed by the rendered ``name{label=value,...}`` form;
 * :class:`Sampler` — a daemon thread that samples a registry every
   ``interval`` seconds, so long runs record trajectories with no
-  cooperation from the instrumented code;
-* :func:`quantile_from_buckets` — the Prometheus-style linear-interpolation
-  quantile estimate used for histogram series.
+  cooperation from the instrumented code.
 
 Everything is thread-safe: the sampler (or an HTTP scrape thread) may read
 while the run mutates the registry.
@@ -29,38 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.obs.digest import LatencyDigest
 from repro.obs.registry import render_key
 
-#: Histogram quantiles sampled into series (suffixes ``:p50`` etc.).
+#: Digest quantiles sampled into series (suffixes ``:p50`` etc.).
 DEFAULT_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99)
-
-
-def quantile_from_buckets(
-    buckets: Sequence[float], counts: Sequence[int], q: float
-) -> float:
-    """Estimate the ``q``-quantile of a fixed-bucket histogram.
-
-    ``buckets`` are upper edges; ``counts`` has one extra entry for the
-    implicit ``+inf`` bucket.  Linear interpolation within the winning
-    bucket (lower edge of the first bucket is 0, matching the registry's
-    seconds-ish scale); observations in the ``+inf`` bucket report the
-    highest finite edge — the standard Prometheus convention of refusing
-    to extrapolate beyond the instrumented range.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q}")
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    rank = q * total
-    cumulative = 0.0
-    for index, count in enumerate(counts[:-1]):
-        previous = cumulative
-        cumulative += count
-        if cumulative >= rank and count > 0:
-            lower = buckets[index - 1] if index > 0 else 0.0
-            upper = buckets[index]
-            fraction = (rank - previous) / count
-            return lower + (upper - lower) * min(max(fraction, 0.0), 1.0)
-    return float(buckets[-1])
 
 
 class Series:
@@ -134,7 +102,7 @@ class TimeSeriesStore:
         """Fold one snapshot of ``registry`` into the series; returns ``t``.
 
         Counters and gauges become one series each (rendered key);
-        histograms contribute ``<key>:count``, ``<key>:mean`` and one
+        digests contribute ``<key>:count``, ``<key>:mean`` and one
         ``<key>:p<NN>`` series per requested quantile.
         """
         stamp = time.time() if t is None else float(t)
@@ -143,18 +111,6 @@ class TimeSeriesStore:
             self.record(render_key(name, tuple(sorted(labels.items()))), stamp, value)
         for name, labels, value in snapshot.get("gauges", []):
             self.record(render_key(name, tuple(sorted(labels.items()))), stamp, value)
-        for name, labels, state in snapshot.get("histograms", []):
-            key = render_key(name, tuple(sorted(labels.items())))
-            count = state["count"]
-            self.record(f"{key}:count", stamp, count)
-            if count:
-                self.record(f"{key}:mean", stamp, state["sum"] / count)
-            for q in quantiles:
-                self.record(
-                    f"{key}:p{int(round(q * 100))}",
-                    stamp,
-                    quantile_from_buckets(state["buckets"], state["counts"], q),
-                )
         for name, labels, state in snapshot.get("digests", []):
             key = render_key(name, tuple(sorted(labels.items())))
             count = state["count"]

@@ -117,6 +117,6 @@ def call_with_retry(
                 on_retry(attempt, exc, delay)
             if registry.enabled:
                 registry.counter("retry.sleeps").inc()
-                registry.histogram("retry.delay_s").observe(delay)
+                registry.digest("retry.delay_s").observe(delay)
             if delay > 0:
                 sleep(delay)

@@ -266,7 +266,6 @@ class ServiceFrontend:
         self.traces.put(context)
         elapsed = self._clock() - started
         status = response[0]
-        self.registry.histogram("service.request_s").observe(elapsed)
         self._latency_digest(endpoint).observe(elapsed)
         self.slo.record(endpoint, elapsed, ok=status < 500)
         response_headers = dict(response[1])

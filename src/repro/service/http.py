@@ -2,11 +2,9 @@
 
 :class:`SignatureService` composes the supervisor (control plane) with the
 frontend (data plane) and a background *pump* thread that closes windows
-whenever the ingest queue holds one; :class:`ServiceServer` bolts the
-stdlib ``ThreadingHTTPServer`` on top, following the ``obs.server`` split:
-all response logic lives in the socket-free
-:meth:`~repro.service.frontend.ServiceFrontend.respond`, the handler only
-moves bytes.
+whenever the ingest queue holds one; :class:`ServiceServer` mounts the
+socket-free :meth:`~repro.service.frontend.ServiceFrontend.respond` on the
+shared :class:`repro.obs.server.RouteServer`, which only moves bytes.
 
 Ingest is asynchronous by design: ``POST /ingest`` acknowledges admission
 to the bounded queue (202), and the pump applies whole windows to the
@@ -16,15 +14,14 @@ mutation, while any number of handler threads read consistent snapshots.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional, Sequence
 
 from repro import obs
 from repro.graph.stream import EdgeRecord
+from repro.obs.server import RouteServer
 from repro.service.config import ServiceConfig
 from repro.service.frontend import Response, ServiceFrontend
 from repro.service.supervisor import ShardSupervisor
@@ -114,13 +111,16 @@ class SignatureService:
         self.supervisor.close()
 
 
-class ServiceServer:
+class ServiceServer(RouteServer):
     """Serve a :class:`SignatureService` over HTTP (stdlib only).
 
-    ``port=0`` binds an ephemeral port; read the bound one from ``.port``
-    after :meth:`start`.  The context manager starts both the listener and
-    the ingest pump, and drains the queue on exit.
+    The route table is :meth:`ServiceFrontend.respond
+    <repro.service.frontend.ServiceFrontend.respond>`; the socket lifecycle
+    is :class:`repro.obs.server.RouteServer`'s.  Starting also starts the
+    ingest pump, and stopping drains the queue.
     """
+
+    event_prefix = "service.server"
 
     def __init__(
         self,
@@ -130,107 +130,21 @@ class ServiceServer:
         port: int = 0,
         pump_interval_s: float = 0.05,
     ) -> None:
+        super().__init__(host=host, port=port)
         self.service = service
-        self.host = host
-        self.port = port
         self.pump_interval_s = pump_interval_s
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-        self._log = obs.NULL_EVENT_LOG
 
-    @property
-    def running(self) -> bool:
-        return self._httpd is not None
+    def respond(
+        self,
+        method: str,
+        path: str,
+        body: Optional[str] = None,
+        headers: Optional[dict] = None,
+    ) -> Response:
+        return self.service.frontend.respond(method, path, body, headers=headers)
 
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ServiceServer":
-        if self._httpd is not None:
-            raise RuntimeError("server already started")
-        handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer((self.host, self.port), handler)
-        self._httpd.daemon_threads = True
-        # Handler threads start with a fresh contextvar context; capture the
-        # event log active now so request-path events still land somewhere.
-        self._log = obs.get_event_log()
-        self.port = self._httpd.server_address[1]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name=f"repro-service-server:{self.port}",
-            daemon=True,
-        )
-        self._thread.start()
+    def _on_start(self) -> None:
         self.service.start_pump(self.pump_interval_s)
-        obs.emit("service.server.started", level="info", url=self.url)
-        return self
 
-    def stop(self) -> None:
-        if self._httpd is None:
-            return
+    def _on_stop(self) -> None:
         self.service.close()
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._httpd = None
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        obs.emit("service.server.stopped", level="info", url=self.url)
-
-    def __enter__(self) -> "ServiceServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-def _make_handler(server: ServiceServer):
-    frontend = server.service.frontend
-
-    class _Handler(BaseHTTPRequestHandler):
-        # Load tests hammer the endpoints; per-request stderr noise helps
-        # nobody — route it to the captured event log instead.
-        def log_message(self, format: str, *args) -> None:
-            server._log.emit(
-                "service.server.request",
-                level="debug",
-                client=self.address_string(),
-                detail=format % args,
-            )
-
-        def _serve(self, method: str, body: Optional[str]) -> None:
-            try:
-                # Handler threads get a fresh contextvar context, so the
-                # event log active at start() must be re-installed here for
-                # request-path events (deadline warnings, trace-stamped
-                # completions) to land in it.
-                with obs.use_event_log(server._log):
-                    status, headers, payload = frontend.respond(
-                        method, self.path, body, headers=dict(self.headers)
-                    )
-            except Exception as error:  # noqa: BLE001 - must answer the socket
-                status = 500
-                headers = {"Content-Type": "application/json"}
-                payload = json.dumps({"error": str(error)}) + "\n"
-                server._log.emit(
-                    "service.server.error", level="error", error=str(error)
-                )
-            encoded = payload.encode("utf-8")
-            self.send_response(status)
-            for name, value in headers.items():
-                self.send_header(name, value)
-            self.send_header("Content-Length", str(len(encoded)))
-            self.end_headers()
-            self.wfile.write(encoded)
-
-        def do_GET(self) -> None:
-            self._serve("GET", None)
-
-        def do_POST(self) -> None:
-            length = int(self.headers.get("Content-Length") or 0)
-            body = self.rfile.read(length).decode("utf-8") if length else None
-            self._serve("POST", body)
-
-    return _Handler

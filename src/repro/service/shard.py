@@ -136,28 +136,30 @@ class ShardEngine:
             previous=self._previous_raw,
             **self._compute_kwargs(),
         )
-        self.window += 1
-        self.prev_signatures = self.signatures
-        self.signatures = {str(node): sig for node, sig in raw.items()}
-        self._previous_raw = raw
-        self._index = None
-        self.registry.counter("shard.windows").inc()
-        self.registry.counter("shard.records").inc(len(records))
-        self.registry.gauge("shard.nodes").set(graph.num_nodes)
-        self.registry.gauge("shard.edges").set(graph.num_edges)
+        window = self.window + 1
+        signatures = {str(node): sig for node, sig in raw.items()}
         meta = {
             "shard": self.shard_id,
             "num_records": len(records),
             "num_nodes": graph.num_nodes,
             "num_edges": graph.num_edges,
         }
+        # Persist before publishing: once readers see the new window,
+        # /history must already be able to answer it.
         if self.store is not None:
-            self.store.save_window(self.window, self.signatures, meta=meta)
+            self.store.save_window(window, signatures, meta=meta)
             self.registry.counter("shard.checkpoint_writes").inc()
         if self.history is not None:
-            self.history.append(
-                [(self.window, self.signatures)], metas={self.window: meta}
-            )
+            self.history.append([(window, signatures)], metas={window: meta})
+        self.window = window
+        self.prev_signatures = self.signatures
+        self.signatures = signatures
+        self._previous_raw = raw
+        self._index = None
+        self.registry.counter("shard.windows").inc()
+        self.registry.counter("shard.records").inc(len(records))
+        self.registry.gauge("shard.nodes").set(graph.num_nodes)
+        self.registry.gauge("shard.edges").set(graph.num_edges)
 
     # ------------------------------------------------------------------
     # Recovery

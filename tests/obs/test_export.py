@@ -20,7 +20,7 @@ def sample_registry() -> obs.MetricsRegistry:
     registry = obs.MetricsRegistry()
     registry.counter("kernel.calls", op="pairwise", path="batch").inc(3)
     registry.gauge("parallel.workers").set(4)
-    registry.histogram("retry.delay_s", buckets=(0.1, 1.0)).observe(0.5)
+    registry.digest("retry.delay_s").observe(0.5)
     with obs.use_registry(registry):
         with obs.span("experiment", dataset="network"):
             with obs.span("cell", scheme="TT", pairs=100):
@@ -39,7 +39,8 @@ class TestBuildPayload:
             "kernel.calls{op=pairwise,path=batch}": 3.0
         }
         assert payload["gauges"] == {"parallel.workers": 4.0}
-        assert set(payload["histograms"]) == {"retry.delay_s"}
+        assert set(payload["digests"]) == {"retry.delay_s"}
+        assert "histograms" not in payload
 
     def test_span_tree_is_nested(self):
         payload = build_payload(sample_registry().snapshot())
@@ -75,18 +76,12 @@ class TestValidator:
         payload["counters"]["bad"] = "three"
         assert any("must be a number" in error for error in validate_payload(payload))
 
-    def test_rejects_histogram_count_mismatch(self):
+    def test_rejects_unsorted_digest_buckets(self):
         registry = obs.MetricsRegistry()
-        registry.histogram("h", buckets=(1.0,)).observe(0.5)
+        registry.digest("d").observe(0.5)
+        registry.digest("d").observe(2.0)
         payload = build_payload(registry.snapshot())
-        payload["histograms"]["h"]["count"] = 99
-        assert any("sum to count" in error for error in validate_payload(payload))
-
-    def test_rejects_unsorted_histogram_buckets(self):
-        registry = obs.MetricsRegistry()
-        registry.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-        payload = build_payload(registry.snapshot())
-        payload["histograms"]["h"]["buckets"] = [2.0, 1.0]
+        payload["digests"]["d"]["buckets"].reverse()
         assert any("sorted" in error for error in validate_payload(payload))
 
     def test_rejects_span_timing_violation(self):
@@ -115,16 +110,11 @@ class TestPrometheus:
         assert 'repro_kernel_calls_total{op="pairwise",path="batch"} 3' in text
         assert "repro_parallel_workers 4" in text
 
-    def test_histogram_is_cumulative(self):
-        registry = obs.MetricsRegistry()
-        histogram = registry.histogram("delay", buckets=(1.0, 10.0))
-        for value in (0.5, 5.0, 100.0):
-            histogram.observe(value)
-        text = to_prometheus(registry.snapshot())
-        assert 'repro_delay_bucket{le="1"} 1' in text
-        assert 'repro_delay_bucket{le="10"} 2' in text
-        assert 'repro_delay_bucket{le="+Inf"} 3' in text
-        assert "repro_delay_count 3" in text
+    def test_digests_are_summaries_without_bucket_lines(self):
+        text = to_prometheus(sample_registry().snapshot())
+        assert "# TYPE repro_retry_delay_s summary" in text
+        assert "repro_retry_delay_s_count 1" in text
+        assert "_bucket" not in text
 
     def test_spans_exported_as_summaries(self):
         text = to_prometheus(sample_registry().snapshot())
@@ -217,9 +207,9 @@ class TestPrometheusLabelEscaping:
         assert 'note="line1\\nline2"' in sample
         assert obs.validate_prometheus(text) == []
 
-    def test_escaping_applies_to_span_paths_and_histograms(self):
+    def test_escaping_applies_to_span_paths_and_digests(self):
         registry = obs.MetricsRegistry()
-        registry.histogram("lat", label='q="x"').observe(0.01)
+        registry.digest("lat", label='q="x"').observe(0.01)
         with obs.use_registry(registry):
             with obs.span("cell", scheme='S"1"'):
                 pass
@@ -243,30 +233,6 @@ class TestValidatePrometheus:
 
     def test_rejects_unparseable_value(self):
         assert obs.validate_prometheus("metric twelve\n")
-
-    def test_rejects_non_cumulative_histogram(self):
-        bad = (
-            'h_bucket{le="0.1"} 5\n'
-            'h_bucket{le="1"} 3\n'
-            'h_bucket{le="+Inf"} 3\n'
-            "h_count 3\n"
-        )
-        problems = obs.validate_prometheus(bad)
-        assert any("not cumulative" in problem for problem in problems)
-
-    def test_rejects_missing_inf_bucket(self):
-        bad = 'h_bucket{le="0.1"} 5\n'
-        problems = obs.validate_prometheus(bad)
-        assert any("+Inf" in problem for problem in problems)
-
-    def test_rejects_inf_bucket_count_mismatch(self):
-        bad = (
-            'h_bucket{le="0.1"} 2\n'
-            'h_bucket{le="+Inf"} 5\n'
-            "h_count 4\n"
-        )
-        problems = obs.validate_prometheus(bad)
-        assert any("!= _count" in problem for problem in problems)
 
     def test_rejects_malformed_type_comment(self):
         assert obs.validate_prometheus("# TYPE weird kind-of-thing\n")
@@ -296,7 +262,9 @@ class TestDigestExport:
         assert quantiles["p99"] == pytest.approx(0.500, rel=0.011)
 
     def test_payload_omits_digests_when_absent(self):
-        payload = build_payload(sample_registry().snapshot())
+        registry = obs.MetricsRegistry()
+        registry.counter("events").inc()
+        payload = build_payload(registry.snapshot())
         assert "digests" not in payload
         assert validate_payload(payload) == []
 

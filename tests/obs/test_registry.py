@@ -69,49 +69,38 @@ class TestGauge:
         assert first.snapshot()["gauges"] == [["workers", {}, 5.0]]
 
 
-class TestHistogram:
-    def test_bucket_assignment_and_stats(self):
+class TestDigest:
+    def test_observations_and_stats(self):
         registry = obs.MetricsRegistry()
-        histogram = registry.histogram("delay", buckets=(1.0, 10.0))
+        digest = registry.digest("delay")
         for value in (0.5, 1.0, 5.0, 100.0):
-            histogram.observe(value)
-        [[name, _labels, state]] = registry.snapshot()["histograms"]
+            digest.observe(value)
+        [[name, _labels, state]] = registry.snapshot()["digests"]
         assert name == "delay"
-        # upper edges are inclusive; 100.0 lands in the implicit +inf bucket
-        assert state["counts"] == [2, 1, 1]
         assert state["count"] == 4
         assert state["sum"] == pytest.approx(106.5)
         assert state["min"] == 0.5
         assert state["max"] == 100.0
+        p50 = registry.digest_state("delay").quantile(0.5)
+        assert p50 == pytest.approx(5.0, rel=state["relative_accuracy"])
 
-    def test_unsorted_buckets_rejected(self):
-        registry = obs.MetricsRegistry()
-        with pytest.raises(ValueError, match="sorted"):
-            registry.histogram("delay", buckets=(2.0, 1.0))
-
-    def test_conflicting_buckets_rejected(self):
-        registry = obs.MetricsRegistry()
-        registry.histogram("delay", buckets=(1.0, 2.0))
-        with pytest.raises(ValueError, match="already exists"):
-            registry.histogram("delay", buckets=(1.0, 3.0))
-
-    def test_merge_requires_matching_edges(self):
+    def test_merge_requires_matching_accuracy(self):
         first = obs.MetricsRegistry()
         second = obs.MetricsRegistry()
-        first.histogram("delay", buckets=(1.0,)).observe(0.5)
-        second.histogram("delay", buckets=(2.0,)).observe(0.5)
-        with pytest.raises(ValueError, match="bucket edges differ"):
+        first.digest("delay", relative_accuracy=0.01).observe(0.5)
+        second.digest("delay", relative_accuracy=0.05).observe(0.5)
+        with pytest.raises(ValueError, match="relative accuracies differ"):
             first.merge(second.snapshot())
 
-    def test_merge_sums_buckets_and_extremes(self):
+    def test_merge_sums_counts_and_extremes(self):
         first = obs.MetricsRegistry()
         second = obs.MetricsRegistry()
-        first.histogram("delay", buckets=(1.0,)).observe(0.5)
-        second.histogram("delay", buckets=(1.0,)).observe(3.0)
+        first.digest("delay").observe(0.5)
+        second.digest("delay").observe(3.0)
         first.merge(second.snapshot())
-        [[_name, _labels, state]] = first.snapshot()["histograms"]
-        assert state["counts"] == [1, 1]
+        [[_name, _labels, state]] = first.snapshot()["digests"]
         assert state["count"] == 2
+        assert state["sum"] == pytest.approx(3.5)
         assert state["min"] == 0.5
         assert state["max"] == 3.0
 
@@ -196,12 +185,12 @@ class TestMerge:
         assert first.counter_value("hits") == 5
         assert first.counter_value("misses") == 1
 
-    def test_merge_is_commutative_on_counters_and_histograms(self):
+    def test_merge_is_commutative_on_counters_and_digests(self):
         def build(values):
             registry = obs.MetricsRegistry()
             for value in values:
                 registry.counter("n").inc(value)
-                registry.histogram("v", buckets=(1.0, 2.0)).observe(value)
+                registry.digest("v").observe(value)
             return registry
 
         ab = obs.MetricsRegistry()
@@ -232,7 +221,7 @@ class TestMerge:
     def test_snapshot_is_picklable_and_json_plain(self):
         registry = obs.MetricsRegistry()
         registry.counter("hits", kind="a").inc()
-        registry.histogram("delay", buckets=(1.0,)).observe(0.5)
+        registry.digest("delay").observe(0.5)
         with obs.use_registry(registry):
             with obs.span("root"):
                 pass
@@ -249,10 +238,13 @@ class TestNullRegistry:
         assert obs.counter("x") is obs.counter("y", any="label")
         obs.counter("x").inc(5)
         obs.gauge("g").set(1)
-        obs.histogram("h").observe(2)
+        obs.digest("d").observe(2)
         assert obs.NULL_REGISTRY.snapshot() == {
-            "counters": [], "gauges": [], "histograms": [], "spans": []
+            "counters": [], "gauges": [], "digests": [], "spans": []
         }
+
+    def test_snapshot_keys_match_the_collecting_registry(self):
+        assert set(obs.NULL_REGISTRY.snapshot()) == set(obs.MetricsRegistry().snapshot())
 
     def test_null_span_is_reentrant(self):
         with obs.span("a"):

@@ -1,10 +1,12 @@
-"""Tests for the live /metrics endpoint, including scrape-during-update.
+"""Tests for the HTTP plane: the lifecycle every :class:`RouteServer`
+keeps (run over both servers), the ``ObsServer`` routes, and
+scrape-during-update.
 
 The concurrency test is the acceptance check for the live layer: a thread
 hammering ``/metrics`` while a fig1 run mutates the registry must always
-receive parseable exposition text with internally consistent histograms
+receive parseable exposition text with internally consistent summaries
 (snapshots are taken under the registry lock, so a scrape can never see a
-half-updated bucket array).
+half-updated digest).
 """
 
 import io
@@ -17,6 +19,7 @@ import pytest
 
 from repro import obs
 from repro.obs.server import PROMETHEUS_CONTENT_TYPE, ObsServer
+from repro.service import ServiceConfig, ServiceServer, SignatureService
 
 
 def get(url):
@@ -29,7 +32,7 @@ def registry():
     registry = obs.MetricsRegistry()
     registry.counter("pipeline.windows", mode="exact").inc(2)
     registry.gauge("parallel.workers").set(3)
-    registry.histogram("latency", buckets=(0.1, 1.0)).observe(0.5)
+    registry.digest("latency").observe(0.5)
     return registry
 
 
@@ -84,10 +87,24 @@ class TestRoutes:
         get(f"{server.url}/metrics")
         assert registry.counter_value("obs.server.requests", route="/metrics") >= 1
 
+    def test_post_is_not_allowed(self, server):
+        request = urllib.request.Request(f"{server.url}/metrics", data=b"x", method="POST")
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 405
 
-class TestLifecycle:
-    def test_ephemeral_port_bound_and_reported(self, registry):
-        server = ObsServer(registry, port=0)
+
+class _LifecycleSuite:
+    """The socket lifecycle both servers inherit from ``RouteServer``.
+
+    Subclasses provide ``make_server`` (a factory for an unstarted server)
+    and the server's ``event_prefix``.
+    """
+
+    event_prefix = ""
+
+    def test_ephemeral_port_bound_and_reported(self, make_server):
+        server = make_server()
         server.start()
         try:
             assert server.port != 0
@@ -96,38 +113,77 @@ class TestLifecycle:
             server.stop()
         assert not server.running
 
-    def test_double_start_rejected(self, registry):
-        with ObsServer(registry) as server:
+    def test_double_start_rejected(self, make_server):
+        with make_server() as server:
             with pytest.raises(RuntimeError):
                 server.start()
 
-    def test_stop_is_idempotent(self, registry):
-        server = ObsServer(registry).start()
+    def test_stop_is_idempotent(self, make_server):
+        server = make_server().start()
         server.stop()
         server.stop()
 
-    def test_lifecycle_logged(self, registry):
+    def test_lifecycle_logged(self, make_server):
         buffer = io.StringIO()
         log = obs.EventLog(buffer, run_id="r", clock=lambda: 0.0)
         with obs.use_event_log(log):
-            with ObsServer(registry):
+            with make_server():
                 pass
         events = [json.loads(line)["event"] for line in buffer.getvalue().splitlines()]
-        assert events == ["obs.server.started", "obs.server.stopped"]
+        assert [e for e in events if e.startswith(self.event_prefix)] == [
+            f"{self.event_prefix}.started",
+            f"{self.event_prefix}.stopped",
+        ]
 
-    def test_internal_error_answers_500(self, registry):
-        class ExplodingRegistry:
-            def counter(self, name, **labels):
-                return registry.counter(name, **labels)
+    def test_internal_error_answers_500(self, make_server, monkeypatch):
+        server = make_server()
 
-            def snapshot(self):
-                raise RuntimeError("kaboom")
+        def explode(*args, **kwargs):
+            raise RuntimeError("kaboom")
 
-        with ObsServer(ExplodingRegistry()) as server:
+        monkeypatch.setattr(server, "respond", explode)
+        with server:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 get(f"{server.url}/metrics")
             assert excinfo.value.code == 500
             assert "kaboom" in excinfo.value.read().decode()
+
+    def test_handler_threads_inherit_event_log(self, make_server, monkeypatch):
+        """Handler threads get fresh contextvar contexts; the server must
+        re-install the log captured at start() so events emitted while
+        answering a request reach it."""
+        server = make_server()
+        route = server.respond
+
+        def logged(*args, **kwargs):
+            obs.emit("test.route", level="info")
+            return route(*args, **kwargs)
+
+        monkeypatch.setattr(server, "respond", logged)
+        buffer = io.StringIO()
+        log = obs.EventLog(buffer, run_id="r", clock=lambda: 0.0)
+        with obs.use_event_log(log):
+            with server:
+                get(f"{server.url}/metrics")
+        events = [json.loads(line)["event"] for line in buffer.getvalue().splitlines()]
+        assert "test.route" in events
+
+
+class TestLifecycle(_LifecycleSuite):
+    event_prefix = "obs.server"
+
+    @pytest.fixture
+    def make_server(self, registry):
+        return lambda: ObsServer(registry)
+
+
+class TestServiceServerLifecycle(_LifecycleSuite):
+    event_prefix = "service.server"
+
+    @pytest.fixture
+    def make_server(self):
+        config = ServiceConfig(num_shards=1, window_records=8, queue_capacity=64, k=3)
+        return lambda: ServiceServer(SignatureService(config), port=0)
 
 
 class TestScrapeDuringUpdate:
@@ -172,17 +228,17 @@ class TestScrapeDuringUpdate:
         assert "repro_kernel_calls_total" in final
 
     def test_direct_mutation_under_scrape_hammer(self):
-        """Cheaper variant hammering a histogram + counters directly."""
+        """Cheaper variant hammering a digest + counters directly."""
         registry = obs.MetricsRegistry()
         done = threading.Event()
         bad = []
 
         def mutate():
-            histogram = registry.histogram("work", buckets=(0.01, 0.1, 1.0))
+            digest = registry.digest("work")
             counter = registry.counter("work.calls")
             step = 0
             while not done.is_set():
-                histogram.observe((step % 7) / 5.0)
+                digest.observe((step % 7) / 5.0)
                 counter.inc()
                 step += 1
 

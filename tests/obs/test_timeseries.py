@@ -6,12 +6,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.obs.timeseries import (
-    Sampler,
-    Series,
-    TimeSeriesStore,
-    quantile_from_buckets,
-)
+from repro.obs.timeseries import Sampler, Series, TimeSeriesStore
 
 
 class TestSeries:
@@ -40,33 +35,6 @@ class TestSeries:
             Series("x", max_points=0)
 
 
-class TestQuantileFromBuckets:
-    def test_empty_histogram(self):
-        assert quantile_from_buckets([1.0, 2.0], [0, 0, 0], 0.5) == 0.0
-
-    def test_interpolates_within_bucket(self):
-        # 10 observations all landing in (1.0, 2.0]: p50 is mid-bucket.
-        assert quantile_from_buckets([1.0, 2.0], [0, 10, 0], 0.5) == pytest.approx(1.5)
-        assert quantile_from_buckets([1.0, 2.0], [0, 10, 0], 0.9) == pytest.approx(1.9)
-
-    def test_first_bucket_starts_at_zero(self):
-        assert quantile_from_buckets([4.0], [10, 0], 0.5) == pytest.approx(2.0)
-
-    def test_overflow_bucket_reports_highest_edge(self):
-        # Everything in +inf: refuse to extrapolate past the last edge.
-        assert quantile_from_buckets([1.0, 2.0], [0, 0, 5], 0.99) == 2.0
-
-    def test_spread_across_buckets(self):
-        buckets = [1.0, 2.0, 4.0]
-        counts = [2, 2, 2, 0]
-        assert quantile_from_buckets(buckets, counts, 0.5) <= 2.0
-        assert quantile_from_buckets(buckets, counts, 1.0) == pytest.approx(4.0)
-
-    def test_rejects_bad_quantile(self):
-        with pytest.raises(ValueError):
-            quantile_from_buckets([1.0], [1, 0], 1.5)
-
-
 class TestTimeSeriesStore:
     def test_record_and_retrieve(self):
         store = TimeSeriesStore()
@@ -82,9 +50,9 @@ class TestTimeSeriesStore:
         registry = obs.MetricsRegistry()
         registry.counter("pipeline.windows", mode="exact").inc(3)
         registry.gauge("parallel.workers").set(4)
-        histogram = registry.histogram("latency", buckets=(1.0, 2.0))
-        histogram.observe(1.5)
-        histogram.observe(1.5)
+        digest = registry.digest("latency")
+        digest.observe(1.5)
+        digest.observe(1.5)
 
         store = TimeSeriesStore()
         store.sample(registry, t=7.0)
@@ -93,7 +61,7 @@ class TestTimeSeriesStore:
         assert store.last("latency:count") == (7.0, 2.0)
         assert store.last("latency:mean") == (7.0, 1.5)
         t, p50 = store.last("latency:p50")
-        assert t == 7.0 and 1.0 <= p50 <= 2.0
+        assert t == 7.0 and p50 == pytest.approx(1.5, rel=0.01)
         assert store.last("latency:p99") is not None
 
     def test_repeated_samples_build_trajectories(self):

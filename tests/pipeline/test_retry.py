@@ -204,7 +204,7 @@ class TestRetryObservability:
         assert registry.counter_value("retry.transient_failures") == 2
         assert registry.counter_value("retry.sleeps") == 2
         assert registry.counter_value("retry.exhausted") == 0
-        [[name, _labels, state]] = registry.snapshot()["histograms"]
+        [[name, _labels, state]] = registry.snapshot()["digests"]
         assert name == "retry.delay_s"
         assert state["count"] == 2
 

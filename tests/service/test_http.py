@@ -108,13 +108,3 @@ class TestServer:
                     assert response.status == 200
         tagged = list(obs.read_events(path, trace_id="feed" * 8))
         assert any(e["event"] == "service.request.done" for e in tagged)
-
-    def test_server_refuses_double_start(self, service):
-        server = ServiceServer(service, port=0)
-        server.start()
-        try:
-            with pytest.raises(RuntimeError):
-                server.start()
-        finally:
-            server.stop()
-        assert not server.running

@@ -51,6 +51,23 @@ class TestApply:
         assert [entry.window for entry in scan.good] == [0, 1, 2, 3]
         assert not scan.issues
 
+    def test_window_published_only_after_history_append(self, config, buckets):
+        """A window readers can see must already be answerable by /history:
+        when the append fails, the shard keeps serving the previous one."""
+
+        class FailingHistory:
+            def append(self, windows, metas=None):
+                raise OSError("history volume full")
+
+        engine = ShardEngine(0, config)
+        engine.apply(buckets[0])
+        window, signatures = engine.window, engine.signatures
+        engine.history = FailingHistory()
+        with pytest.raises(OSError):
+            engine.apply(buckets[1])
+        assert engine.window == window
+        assert engine.signatures is signatures
+
     def test_persistence_needs_two_windows(self, config, buckets):
         engine = ShardEngine(0, config)
         engine.apply(buckets[0])

@@ -206,7 +206,7 @@ class TestEffectiveJobs:
 def count_and_square(value):
     """Worker that leaves deterministic tracks on the active registry."""
     obs.counter("test.calls").inc()
-    obs.histogram("test.value", buckets=(1.0, 4.0, 16.0)).observe(value)
+    obs.digest("test.value").observe(value)
     with obs.span("test.task"):
         pass
     return value * value
@@ -233,7 +233,7 @@ def _structure(snapshot):
     return (
         snapshot["counters"],
         snapshot["gauges"],
-        snapshot["histograms"],
+        snapshot["digests"],
         [
             (tuple(record["path"]), record["count"], record["values"])
             for record in snapshot["spans"]

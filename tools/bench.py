@@ -866,16 +866,17 @@ def warm_up() -> None:
 
 
 def _write_payload(payload: dict, output: Path) -> None:
-    """Write a bench payload and mirror it to the repo root.
+    """Write a bench payload and, in full mode, mirror it to the repo root.
 
     The mirror (``<repo>/BENCH_<name>.json``) keeps the cross-PR perf
     trajectory greppable without digging into benchmarks/; diff it across
-    commits.
+    commits.  Quick (smoke) payloads are never mirrored, so a smoke run
+    cannot replace a committed full-mode record.
     """
     output.parent.mkdir(parents=True, exist_ok=True)
     output.write_text(json.dumps(payload, indent=2) + "\n")
     root_output = REPO_ROOT / f"BENCH_{payload['benchmark']}.json"
-    if root_output != output:
+    if payload["mode"] == "full" and root_output != output:
         root_output.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"mirrored bench record to {root_output}")
     print(f"wrote {output}")
